@@ -20,6 +20,21 @@ use exec::Pool;
 #[global_allocator]
 static ALLOC: bench::memprof::CountingAlloc = bench::memprof::CountingAlloc;
 
+/// The largest explicit worker count any test in this binary requests.
+const MAX_WORKERS: usize = 4;
+
+/// Serialises this binary's pool-census tests, and grows the shared
+/// pool to the largest worker count any test here can request (the
+/// explicit counts, or `Threads::Auto` up to the machine) before a
+/// census is read, so no test running beside it can spawn threads under
+/// it. Taken after a test's cold call, which must meet an unwarmed pool.
+fn census_lock() -> std::sync::MutexGuard<'static, ()> {
+    static CENSUS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let guard = CENSUS.lock().unwrap_or_else(|e| e.into_inner());
+    Pool::global().run(MAX_WORKERS.max(exec::available_parallelism()), |_| {});
+    guard
+}
+
 #[test]
 fn warm_calls_reuse_threads_and_scratch() {
     let g = bench::random_graph(150, 0.12, 42);
@@ -29,6 +44,7 @@ fn warm_calls_reuse_threads_and_scratch() {
     let (cold_result, cold_bytes) =
         bench::memprof::measure_total(|| cpm::parallel::percolate_parallel(&g, 4));
     assert_eq!(reference.levels, cold_result.levels);
+    let _census = census_lock();
     let spawned = Pool::global().spawned_threads();
     assert!(spawned >= 3, "expected pool threads after a 4-worker call");
 

@@ -187,7 +187,8 @@ pub enum Command {
         /// Set kernel for the per-replay clique enumeration (live
         /// `--input` sources only; a log replay does no enumeration).
         kernel: cliques::Kernel,
-        /// Worker-count policy for the multi-k wave sweep.
+        /// Worker-count policy, accepted for a uniform `--threads` flag
+        /// and ignored: the streaming sweep runs sequentially.
         threads: exec::Threads,
         /// Cancel the run after this many seconds (exit
         /// [`EXIT_INTERRUPTED`]).
@@ -325,6 +326,10 @@ The worker count (--threads) sizes the persistent thread pool: a fixed
 `<n>` forces that many workers, `auto` (default) scales with the input
 and falls back to sequential when the work would not amortise the
 fan-out. Output is bit-identical at every thread count.
+`stream-percolate` accepts --threads but does not use it: its sweep
+runs sequentially. The exact --all-k sweep replays the source once into
+a nested union-find whose memory grows with the clique memberships, not
+the level count.
 
 Long commands stop cooperatively: Ctrl-C (or an expired --deadline)
 cancels at the next safe point instead of killing mid-write, and the

@@ -27,6 +27,21 @@ fn random_graph(n: u32, p: f64, seed: u64) -> Graph {
     b.build()
 }
 
+/// The largest explicit worker count any test in this binary requests.
+const MAX_WORKERS: usize = 8;
+
+/// Serialises this binary's pool-census tests, and grows the shared
+/// pool to the largest worker count any test here can request (the
+/// explicit counts, or `Threads::Auto` up to the machine) before a
+/// census is read, so no test running beside it can spawn threads under
+/// it.
+fn census_lock() -> std::sync::MutexGuard<'static, ()> {
+    static CENSUS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let guard = CENSUS.lock().unwrap_or_else(|e| e.into_inner());
+    Pool::global().run(MAX_WORKERS.max(exec::available_parallelism()), |_| {});
+    guard
+}
+
 const REPEATS: usize = if cfg!(debug_assertions) { 3 } else { 16 };
 
 #[test]
@@ -54,6 +69,7 @@ fn repeated_percolations_stay_bit_identical() {
 
 #[test]
 fn pool_thread_set_stops_growing() {
+    let _census = census_lock();
     let g = random_graph(120, 0.15, 99);
     let reference = cpm::percolate(&g);
     // Touch the largest worker count once...

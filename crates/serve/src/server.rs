@@ -38,7 +38,7 @@ use crate::http::{self, Request};
 use crate::json;
 use crate::snapshot::{load_snapshot, LoadError, Snapshot};
 use cpm::{CommunityId, SnapshotIndex};
-use exec::{CancelToken, Pool, Pop, TaskQueue, Threads};
+use exec::{CancelToken, Pool, Pop, TaskQueue};
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -99,8 +99,6 @@ pub struct ServeConfig {
     /// stalls past this gets `408` and the connection closes, freeing
     /// the worker.
     pub request_deadline: Duration,
-    /// Thread budget for snapshot (re)builds from a clique log.
-    pub rebuild_threads: Threads,
     /// Percolation engine for snapshot (re)builds from a clique log
     /// (`cpm::Mode::Almost` bounds per-level rebuild state); reported
     /// by `/stats` alongside the build duration.
@@ -117,7 +115,6 @@ impl ServeConfig {
             snapshot: snapshot.into(),
             idle_timeout: Duration::from_secs(5),
             request_deadline: Duration::from_secs(5),
-            rebuild_threads: Threads::Auto,
             mode: cpm::Mode::Exact,
         }
     }
@@ -148,7 +145,6 @@ struct State {
     reload_in_flight: AtomicBool,
     stats: Stats,
     snapshot_path: PathBuf,
-    rebuild_threads: Threads,
     rebuild_mode: cpm::Mode,
     rebuild_handles: Mutex<Vec<JoinHandle<()>>>,
 }
@@ -192,13 +188,7 @@ impl Server {
     /// [`ServeError::Load`] when the snapshot cannot be built,
     /// [`ServeError::Io`] when the address cannot be bound.
     pub fn bind(config: &ServeConfig, cancel: &CancelToken) -> Result<Server, ServeError> {
-        let snap = load_snapshot(
-            &config.snapshot,
-            1,
-            cancel,
-            config.rebuild_threads,
-            config.mode,
-        )?;
+        let snap = load_snapshot(&config.snapshot, 1, cancel, config.mode)?;
         let listener = TcpListener::bind(&config.addr).map_err(ServeError::Io)?;
         listener.set_nonblocking(true).map_err(ServeError::Io)?;
         Ok(Server {
@@ -210,7 +200,6 @@ impl Server {
                 reload_in_flight: AtomicBool::new(false),
                 stats: Stats::default(),
                 snapshot_path: config.snapshot.clone(),
-                rebuild_threads: config.rebuild_threads,
                 rebuild_mode: config.mode,
                 rebuild_handles: Mutex::new(Vec::new()),
             }),
@@ -556,13 +545,7 @@ impl Server {
         // after — a half-built snapshot is simply dropped.
         let token = cancel.clone();
         let handle = std::thread::spawn(move || {
-            let built = load_snapshot(
-                &state.snapshot_path,
-                generation,
-                &token,
-                state.rebuild_threads,
-                state.rebuild_mode,
-            );
+            let built = load_snapshot(&state.snapshot_path, generation, &token, state.rebuild_mode);
             match built {
                 Ok(snap) => {
                     state.publish(snap);

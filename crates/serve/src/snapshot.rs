@@ -5,10 +5,11 @@
 //! disk in either of two self-identifying formats, sniffed by magic:
 //!
 //! * a **clique log v2** (`clique-log build` output) — the log is
-//!   replayed through the streaming percolator, one full descending-`k`
-//!   sweep, and the resulting levels are frozen into an index. This is
-//!   the path `POST /reload` takes after a fresh enumeration rewrites
-//!   the log;
+//!   replayed once through the streaming all-`k` sweep, which counts
+//!   each clique's overlaps once into a nested union–find holding every
+//!   level (memory O(clique memberships)), and the resulting levels are
+//!   frozen into an index. This is the path `POST /reload` takes after a
+//!   fresh enumeration rewrites the log;
 //! * a **serialised snapshot** ([`cpm::SnapshotIndex::to_bytes`]) — a
 //!   straight checksummed decode, for pre-baked indexes.
 //!
@@ -88,10 +89,11 @@ impl From<StreamError> for LoadError {
 /// Builds a [`SnapshotIndex`] from `path`, sniffing the format by
 /// magic.
 ///
-/// `threads` sizes the multi-k percolation waves of the clique-log
-/// path (the serialised path is single-threaded decode either way),
-/// and `mode` selects the percolation engine for that same path —
-/// [`Mode::Almost`] rebuilds with bounded per-level state.
+/// `threads` is accepted for signature stability and does not change
+/// the build: the clique-log path is one sequential streaming sweep
+/// and the serialised path a single-threaded decode. `mode` selects the
+/// percolation engine of the clique-log path — [`Mode::Almost`]
+/// rebuilds with bounded per-level state.
 ///
 /// # Errors
 ///
@@ -167,11 +169,10 @@ pub fn load_snapshot(
     path: &Path,
     generation: u64,
     cancel: &CancelToken,
-    threads: Threads,
     mode: Mode,
 ) -> Result<Arc<Snapshot>, LoadError> {
     let t0 = std::time::Instant::now();
-    let index = load_index(path, cancel, threads, mode)?;
+    let index = load_index(path, cancel, Threads::Auto, mode)?;
     Ok(Arc::new(Snapshot {
         index,
         generation,
@@ -219,7 +220,7 @@ mod tests {
         // build duration.
         let from_log_almost = load_index(&log, &token, Threads::Fixed(1), Mode::Almost).unwrap();
         assert_eq!(from_log_almost, direct);
-        let snap = load_snapshot(&log, 1, &token, Threads::Fixed(1), Mode::Almost).unwrap();
+        let snap = load_snapshot(&log, 1, &token, Mode::Almost).unwrap();
         assert_eq!(snap.mode, Mode::Almost);
         assert_eq!(snap.index, direct);
     }

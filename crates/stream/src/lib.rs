@@ -9,7 +9,7 @@
 //! union–find, so no clique set and no overlap graph is ever
 //! materialised.
 //!
-//! The three moving parts:
+//! The moving parts:
 //!
 //! - [`StreamPercolator`] — the online single-`k` engine
 //!   ([`Mode::Exact`] per-node postings, or Baudin-style
@@ -18,11 +18,11 @@
 //! - [`CliqueSource`] — replayable clique streams: [`GraphSource`]
 //!   re-enumerates per pass, [`LogSource`] replays a clique log written
 //!   once by [`CliqueLogWriter`];
-//! - [`stream_percolate`] / [`stream_percolate_at`] — the descending-`k`
-//!   sweep (community tree included) and the single-level pass;
-//! - [`stream_percolate_parallel`] — the same sweep with adjacent `k`
-//!   levels percolated in waves on the persistent [`exec::Pool`], one
-//!   source replay per wave, bit-identical at every worker count.
+//! - [`stream_percolate`] / [`stream_percolate_at`] — the all-`k` sweep
+//!   (community tree included) and the single-level pass. The exact
+//!   sweep replays the source once into a nested union–find, so its
+//!   state stays O(clique memberships); the `_parallel` variants'
+//!   [`Threads`] argument no longer changes it.
 //!
 //! ```
 //! use asgraph::Graph;

@@ -36,15 +36,16 @@
 //!   subsumption strata need the whole clique set); what the mode
 //!   *means* — bounded state, refinement-only error — is identical,
 //!   which is why the vocabulary is shared.
+//!
+//! [`StreamPercolator`] runs one level; the exact all-`k` sweep is one
+//! replay into a nested union–find holding every level.
 
 use crate::source::{consume_source, CliqueSource};
 use crate::StreamError;
 use asgraph::NodeId;
 use cliques::CliqueConsumer;
 use cpm::{canonical_members, Community, Dsu, KLevel};
-use exec::{Pool, Threads};
-use std::collections::HashMap;
-use std::sync::Mutex;
+use exec::Threads;
 
 /// The engine selector — re-exported from the batch crate so every
 /// pipeline (batch, parallel, streaming, CLI, serve) speaks one mode
@@ -193,66 +194,57 @@ impl StreamPercolator {
         self.counts.push(0);
         let need = (self.k - 1) as u32;
 
+        // Saturating overlap counts: the union fires the moment a pair
+        // reaches the threshold, increments past it are skipped, and a
+        // pair already connected is saturated at first touch.
+        let (counts, touched, dsu) = (&mut self.counts, &mut self.touched, &mut self.dsu);
+        let mut bump = |c: u32| {
+            let cnt = &mut counts[c as usize];
+            if *cnt == 0 {
+                touched.push(c);
+                if dsu.same(id, c) {
+                    *cnt = need;
+                    return;
+                }
+            }
+            if *cnt < need {
+                *cnt += 1;
+                if *cnt == need {
+                    dsu.union(id, c);
+                }
+            }
+        };
         match self.mode {
+            // One merge-count pass over the postings of the clique's
+            // members: every prior clique sharing a node is counted.
             Mode::Exact => {
-                // One merge-count pass over the postings of the clique's
-                // members: counts[c] ends as |clique ∩ c| for every prior
-                // clique c sharing at least one node. Saturating count:
-                // the union fires the moment a pair reaches the
-                // threshold, increments past it are skipped, and a pair
-                // already connected is saturated at first touch.
                 for &v in clique {
-                    for &c in &self.postings[v as usize] {
-                        let cnt = &mut self.counts[c as usize];
-                        if *cnt == 0 {
-                            self.touched.push(c);
-                            if self.dsu.same(id, c) {
-                                *cnt = need;
-                                continue;
-                            }
-                        }
-                        if *cnt < need {
-                            *cnt += 1;
-                            if *cnt == need {
-                                self.dsu.union(id, c);
-                            }
-                        }
+                    self.postings[v as usize].iter().for_each(|&c| bump(c));
+                }
+            }
+            // Count only against the snapshot of each member's last
+            // clique — O(|clique|) state probes, O(n) total memory.
+            Mode::Almost => {
+                for &v in clique {
+                    let c = self.last_seen[v as usize];
+                    if c != NONE {
+                        bump(c);
                     }
                 }
-                for &c in &self.touched {
-                    self.counts[c as usize] = 0;
-                }
-                self.touched.clear();
+            }
+        }
+        for &c in &self.touched {
+            self.counts[c as usize] = 0;
+        }
+        self.touched.clear();
+
+        match self.mode {
+            Mode::Exact => {
                 for &v in clique {
                     self.postings[v as usize].push(id);
                 }
             }
             Mode::Almost => {
-                // Count only against the snapshot of each member's last
-                // clique — O(|clique|) state probes, O(n) total memory.
-                for &v in clique {
-                    let c = self.last_seen[v as usize];
-                    if c != NONE {
-                        let cnt = &mut self.counts[c as usize];
-                        if *cnt == 0 {
-                            self.touched.push(c);
-                            if self.dsu.same(id, c) {
-                                *cnt = need;
-                                continue;
-                            }
-                        }
-                        if *cnt < need {
-                            *cnt += 1;
-                            if *cnt == need {
-                                self.dsu.union(id, c);
-                            }
-                        }
-                    }
-                }
-                for &c in &self.touched {
-                    self.counts[c as usize] = 0;
-                }
-                self.touched.clear();
                 for &v in clique {
                     self.last_seen[v as usize] = id;
                 }
@@ -396,10 +388,10 @@ pub fn stream_percolate_at<S: CliqueSource + ?Sized>(
     Ok(covers)
 }
 
-/// Runs the full descending-`k` sweep by replaying `source` once per
-/// level, producing every community and the community tree without ever
-/// holding the clique set or overlap graph in memory — the streaming
-/// counterpart of [`cpm::percolate`].
+/// Runs the full all-`k` sweep in one replay of `source`, producing
+/// every community and the community tree without ever holding the
+/// clique set or overlap graph in memory — the streaming counterpart of
+/// [`cpm::percolate`].
 ///
 /// # Errors
 ///
@@ -422,66 +414,8 @@ pub fn stream_percolate<S: CliqueSource + ?Sized>(
     stream_percolate_parallel(source, Threads::Auto)
 }
 
-/// Cliques buffered between replay callbacks and pool fan-outs: flat
-/// member storage plus offsets, refilled batch by batch.
-#[derive(Default)]
-struct CliqueBatch {
-    members: Vec<NodeId>,
-    offsets: Vec<usize>,
-}
-
-impl CliqueBatch {
-    fn push(&mut self, clique: &[NodeId]) {
-        self.offsets.push(self.members.len());
-        self.members.extend_from_slice(clique);
-    }
-
-    fn len(&self) -> usize {
-        self.offsets.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.offsets.is_empty()
-    }
-
-    fn clear(&mut self) {
-        self.members.clear();
-        self.offsets.clear();
-    }
-
-    fn get(&self, i: usize) -> &[NodeId] {
-        let start = self.offsets[i];
-        let end = self
-            .offsets
-            .get(i + 1)
-            .copied()
-            .unwrap_or(self.members.len());
-        &self.members[start..end]
-    }
-}
-
-/// Cliques per batch handed to the worker team in one fan-out. Large
-/// enough to amortise the pool wake-up, small enough that the buffered
-/// copy stays cache-resident.
-const WAVE_BATCH: usize = 1_024;
-
-/// Auto heuristic: grow the wave only when each level has at least this
-/// many clique memberships to fold in.
-const AUTO_MEMBERS_PER_LEVEL: usize = 8_192;
-
-/// [`stream_percolate`] with an explicit worker-count policy.
-///
-/// The per-level passes of the descending sweep are independent — each
-/// folds the identical clique stream into its own percolator — so the
-/// sweep runs them in *waves*: `w` adjacent levels share one replay of
-/// the source, with cliques buffered in batches of [`WAVE_BATCH`] and
-/// fanned out to the per-level percolators on the persistent
-/// [`exec::Pool`]. Every percolator still sees the exact clique stream
-/// in stream order, so the result is bit-identical to the sequential
-/// sweep at every worker count (property-tested). A wave of `w` levels
-/// also costs `w` percolators of live postings at once: memory scales
-/// with the worker count, as does replay savings (one pass per wave
-/// instead of one per level).
+/// [`stream_percolate`] with a worker-count policy, which the sweep
+/// ignores (see [`stream_percolate_parallel_mode`]).
 ///
 /// # Errors
 ///
@@ -493,113 +427,235 @@ pub fn stream_percolate_parallel<S: CliqueSource + ?Sized>(
     stream_percolate_parallel_mode(source, threads, Mode::Exact)
 }
 
-/// [`stream_percolate_parallel`] with an explicit engine [`Mode`]:
-/// every per-level percolator of the wave sweep runs in `mode`, so
-/// [`Mode::Almost`] bounds each level's state to O(nodes) at the cost
-/// of possibly splitting (never merging) communities — the same
-/// refinement-only contract as the batch almost engine.
+/// The all-`k` streaming sweep with an explicit engine [`Mode`].
+///
+/// [`Mode::Exact`] replays `source` once, counting each clique pair's
+/// overlap once into a nested union–find that holds every level, so
+/// state is O(clique memberships) whatever the level count.
+/// [`Mode::Almost`] runs the O(nodes) last-seen [`StreamPercolator`]
+/// level by level, one replay each, so one level's state is alive at a
+/// time; it may split (never merge) communities.
+///
+/// `threads` is kept for signature stability and ignored: the sweep
+/// runs sequentially, off the worker pool, with the same result for
+/// every value.
 ///
 /// # Errors
 ///
-/// Fails only if the source does (I/O on a clique log).
+/// Fails only if the source does (I/O on a clique log, or
+/// [`StreamError::Interrupted`] when its cancel token trips).
 pub fn stream_percolate_parallel_mode<S: CliqueSource + ?Sized>(
     source: &mut S,
     threads: impl Into<Threads>,
     mode: Mode,
 ) -> Result<StreamCpmResult, StreamError> {
-    // Sizing pass: k_max and total work, without retaining anything.
-    let mut k_max = 0usize;
-    let mut total_members = 0usize;
-    source.replay(&mut |clique| {
-        k_max = k_max.max(clique.len());
-        total_members += clique.len();
-    })?;
-    if k_max < 2 {
-        return Ok(StreamCpmResult { levels: Vec::new() });
+    let _ = threads;
+    let n = source.node_count();
+    let mut levels = Vec::new();
+    let clique_count = match mode {
+        Mode::Exact => {
+            let mut p = NestedPercolator {
+                postings: vec![Vec::new(); n],
+                base: vec![0],
+                ..NestedPercolator::default()
+            };
+            source.replay(&mut |clique| p.push(clique))?;
+            let count = p.counts.len();
+            levels = p.finish();
+            count
+        }
+        Mode::Almost => {
+            // The level-2 replay also learns k_max.
+            let mut k_max = 0;
+            let mut p = StreamPercolator::with_mode(n, 2, mode);
+            source.replay(&mut |clique| {
+                k_max = k_max.max(clique.len());
+                p.push(clique);
+            })?;
+            let count = p.seen as usize;
+            if k_max >= 2 {
+                levels.push(KLevel {
+                    k: 2,
+                    communities: p.finish(),
+                });
+            }
+            for k in 3..=k_max {
+                let mut p = StreamPercolator::with_mode(n, k, mode);
+                consume_source(source, &mut p)?;
+                levels.push(KLevel {
+                    k: k as u32,
+                    communities: p.finish(),
+                });
+            }
+            count
+        }
+    };
+    // Theorem 1 linking on stream ordinals: the parent of a level-(k+1)
+    // community is the level-k community holding its first clique.
+    let mut idx_of_ordinal = vec![u32::MAX; clique_count];
+    for i in 1..levels.len() {
+        let (lower, upper) = levels.split_at_mut(i);
+        for (idx, c) in lower[i - 1].communities.iter().enumerate() {
+            for &ordinal in &c.clique_ids {
+                idx_of_ordinal[ordinal as usize] = idx as u32;
+            }
+        }
+        for c in &mut upper[0].communities {
+            c.parent = Some(idx_of_ordinal[c.clique_ids[0] as usize]);
+        }
+    }
+    Ok(StreamCpmResult { levels })
+}
+
+/// The exact all-`k` engine. Clique `c` owns one union–find slot per
+/// level `2..=|c|`, laid out raggedly (Σ(|c|−1) slots, no dense
+/// `k_max × cliques` table); level `k` is a union–find over the cliques
+/// of size ≥ k. A pair overlapping in `o` nodes is adjacent at every
+/// level up to `o + 1` both reach, so a union at level `j` is also made
+/// at every level below it and level `j`'s partition always refines
+/// level `j−1`'s. DESIGN.md §7 has the full argument.
+#[derive(Debug, Default)]
+struct NestedPercolator {
+    /// `node -> ids of cliques of size ≥ 2 containing it`, ascending.
+    postings: Vec<Vec<u32>>,
+    /// Clique `c` owns slots `base[c]..base[c + 1]`, one per level.
+    base: Vec<u32>,
+    /// Slot `base[c] + k − 2` holds `c`'s parent clique at level `k`.
+    /// Unions link the larger root under the smaller, so a set's root
+    /// is its smallest clique id.
+    parent: Vec<u32>,
+    /// Scratch: per clique, its overlap with the incoming one.
+    counts: Vec<u32>,
+    touched: Vec<u32>,
+}
+
+impl NestedPercolator {
+    fn size(&self, c: u32) -> usize {
+        (self.base[c as usize + 1] - self.base[c as usize]) as usize + 1
     }
 
-    let n = source.node_count();
-    let levels = k_max - 1;
-    let workers = threads
-        .into()
-        .resolve(total_members, AUTO_MEMBERS_PER_LEVEL)
-        .min(levels);
-    let ks: Vec<usize> = (2..=k_max).rev().collect();
-    let mut levels_desc: Vec<KLevel> = Vec::new();
-    for wave in ks.chunks(workers.max(1)) {
-        let per_level = run_wave(source, n, wave, mode)?;
-        for (k, communities) in wave.iter().zip(per_level) {
-            // Theorem 1 linking, on stream ordinals: the parent of a
-            // level-(k+1) community is the level-k community that now
-            // holds its representative clique.
-            let mut ordinal_to_idx: HashMap<u32, u32> = HashMap::new();
-            for (idx, c) in communities.iter().enumerate() {
-                for &ordinal in &c.clique_ids {
-                    ordinal_to_idx.insert(ordinal, idx as u32);
+    fn slot(&self, c: u32, k: usize) -> usize {
+        self.base[c as usize] as usize + k - 2
+    }
+
+    /// Root of `c` at level `k`, with path halving.
+    fn find(&mut self, mut c: u32, k: usize) -> u32 {
+        loop {
+            let s = self.slot(c, k);
+            let p = self.parent[s];
+            if p == c {
+                return c;
+            }
+            self.parent[s] = self.parent[self.slot(p, k)];
+            c = self.parent[s];
+        }
+    }
+
+    /// Joins `a` and `b` at level `k`; `false` if they already were.
+    fn union(&mut self, a: u32, b: u32, k: usize) -> bool {
+        let (ra, rb) = (self.find(a, k), self.find(b, k));
+        if ra == rb {
+            return false;
+        }
+        let s = self.slot(ra.max(rb), k);
+        self.parent[s] = ra.min(rb);
+        true
+    }
+
+    fn push(&mut self, clique: &[NodeId]) {
+        let id = self.counts.len() as u32;
+        let s = clique.len();
+        let end = u32::try_from(self.parent.len() + s.saturating_sub(1))
+            .expect("clique memberships exceed the u32 slot space");
+        self.base.push(end);
+        self.parent.resize(end as usize, id);
+        self.counts.push(0);
+        if s < 2 {
+            return;
+        }
+        // Level 2: cliques sharing a node are adjacent, and chaining to
+        // the last earlier clique at each member connects them all.
+        for &v in clique {
+            if let Some(&last) = self.postings[v as usize].last() {
+                self.union(id, last, 2);
+            }
+        }
+        // Plain overlap counts with every earlier clique sharing a node.
+        for &v in clique {
+            for &c in &self.postings[v as usize] {
+                let cnt = &mut self.counts[c as usize];
+                if *cnt == 0 {
+                    self.touched.push(c);
+                }
+                *cnt += 1;
+            }
+        }
+        // Unite at levels min(o+1, s, |c|) down to 3, stopping at the
+        // first level where the pair is already joined: by the nesting,
+        // it is joined at every level below too.
+        for i in 0..self.touched.len() {
+            let c = self.touched[i];
+            let o = std::mem::take(&mut self.counts[c as usize]) as usize;
+            let top = (o + 1).min(s).min(self.size(c));
+            for k in (3..=top).rev() {
+                if !self.union(id, c, k) {
+                    break;
                 }
             }
-            if let Some(prev) = levels_desc.last_mut() {
-                for pc in &mut prev.communities {
-                    let rep = pc.clique_ids[0];
-                    pc.parent = Some(ordinal_to_idx[&rep]);
+        }
+        self.touched.clear();
+        for &v in clique {
+            self.postings[v as usize].push(id);
+        }
+    }
+
+    /// Extracts every level, ascending `k`, in the order a per-level
+    /// [`StreamPercolator`] produces: communities by first clique,
+    /// `clique_ids` as ascending stream ordinals, members from the
+    /// postings. Parents are left unset.
+    fn finish(mut self) -> Vec<KLevel> {
+        let clique_count = self.counts.len() as u32;
+        let k_max = (0..clique_count).map(|c| self.size(c)).max().unwrap_or(0);
+        // Community index per clique at the level being extracted; a
+        // root is its set's smallest id, so ascending ids meet it first.
+        let mut idx_of_clique = vec![u32::MAX; clique_count as usize];
+        let mut levels = Vec::new();
+        for k in 2..=k_max {
+            let mut communities: Vec<Community> = Vec::new();
+            for c in 0..clique_count {
+                if self.size(c) < k {
+                    continue;
+                }
+                let root = self.find(c, k);
+                if root == c {
+                    idx_of_clique[c as usize] = communities.len() as u32;
+                    communities.push(Community {
+                        members: Vec::new(),
+                        clique_ids: Vec::new(),
+                        parent: None,
+                    });
+                }
+                idx_of_clique[c as usize] = idx_of_clique[root as usize];
+                communities[idx_of_clique[c as usize] as usize]
+                    .clique_ids
+                    .push(c);
+            }
+            for (v, cliques) in self.postings.iter().enumerate() {
+                for &c in cliques.iter().filter(|&&c| self.size(c) >= k) {
+                    // Nodes arrive ascending: a duplicate is the tail.
+                    let members = &mut communities[idx_of_clique[c as usize] as usize].members;
+                    if members.last() != Some(&(v as NodeId)) {
+                        members.push(v as NodeId);
+                    }
                 }
             }
-            levels_desc.push(KLevel {
-                k: *k as u32,
+            levels.push(KLevel {
+                k: k as u32,
                 communities,
             });
         }
+        levels
     }
-    levels_desc.reverse();
-    Ok(StreamCpmResult {
-        levels: levels_desc,
-    })
-}
-
-/// One replay of `source` feeding a percolator per level in `wave`,
-/// returning each level's communities in `wave` order.
-fn run_wave<S: CliqueSource + ?Sized>(
-    source: &mut S,
-    n: usize,
-    wave: &[usize],
-    mode: Mode,
-) -> Result<Vec<Vec<Community>>, StreamError> {
-    if wave.len() == 1 {
-        // Single level: push straight from the replay callback, no
-        // batch buffering, no pool round-trips.
-        let mut p = StreamPercolator::with_mode(n, wave[0], mode);
-        consume_source(source, &mut p)?;
-        return Ok(vec![p.finish()]);
-    }
-    let percolators: Vec<Mutex<StreamPercolator>> = wave
-        .iter()
-        .map(|&k| Mutex::new(StreamPercolator::with_mode(n, k, mode)))
-        .collect();
-    let flush = |batch: &CliqueBatch| {
-        Pool::global().run(percolators.len(), |w| {
-            let mut p = percolators[w.index()]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            for i in 0..batch.len() {
-                p.push(batch.get(i));
-            }
-        });
-    };
-    let mut batch = CliqueBatch::default();
-    source.replay(&mut |clique| {
-        batch.push(clique);
-        if batch.len() >= WAVE_BATCH {
-            flush(&batch);
-            batch.clear();
-        }
-    })?;
-    if !batch.is_empty() {
-        flush(&batch);
-    }
-    Ok(percolators
-        .into_iter()
-        .map(|p| p.into_inner().unwrap_or_else(|e| e.into_inner()).finish())
-        .collect())
 }
 
 #[cfg(test)]
@@ -638,64 +694,6 @@ mod tests {
     }
 
     #[test]
-    fn full_sweep_matches_batch_on_fixture() {
-        let g = Graph::from_edges(
-            8,
-            [
-                (0, 1),
-                (0, 2),
-                (1, 2),
-                (2, 3),
-                (3, 4),
-                (3, 5),
-                (4, 5),
-                (5, 6),
-                (6, 7),
-                (7, 5),
-            ],
-        );
-        let batch = cpm::percolate(&g);
-        let stream = stream_percolate(&mut GraphSource::new(&g)).unwrap();
-        assert_eq!(stream.k_max(), batch.k_max());
-        for k in 2..=batch.k_max().unwrap() {
-            let mut b: Vec<Vec<NodeId>> = batch
-                .level(k)
-                .unwrap()
-                .communities
-                .iter()
-                .map(|c| c.members.clone())
-                .collect();
-            b.sort_unstable();
-            let mut s: Vec<Vec<NodeId>> = stream
-                .level(k)
-                .unwrap()
-                .communities
-                .iter()
-                .map(|c| c.members.clone())
-                .collect();
-            s.sort_unstable();
-            assert_eq!(s, b, "level {k}");
-        }
-    }
-
-    #[test]
-    fn parents_contain_children() {
-        let g = Graph::complete(6);
-        let r = stream_percolate(&mut GraphSource::new(&g)).unwrap();
-        for (i, level) in r.levels.iter().enumerate() {
-            for c in &level.communities {
-                if level.k == 2 {
-                    assert!(c.parent.is_none());
-                } else {
-                    let below = &r.levels[i - 1];
-                    let p = &below.communities[c.parent.unwrap() as usize];
-                    assert!(c.members.iter().all(|&v| p.contains(v)));
-                }
-            }
-        }
-    }
-
-    #[test]
     fn empty_and_edgeless_graphs() {
         let r = stream_percolate(&mut GraphSource::new(&Graph::empty(0))).unwrap();
         assert!(r.levels.is_empty());
@@ -723,6 +721,8 @@ mod tests {
         assert_eq!(exact, approx);
     }
 
+    /// `threads` is ignored by the sweep: every policy gives the same
+    /// levels.
     #[test]
     fn parallel_waves_are_bit_identical_to_sequential() {
         let g = Graph::from_edges(

@@ -20,6 +20,21 @@ fn random_graph(n: u32, p: f64, seed: u64) -> asgraph::Graph {
     b.build()
 }
 
+/// The largest explicit worker count any test in this binary requests.
+const MAX_WORKERS: usize = 4;
+
+/// Serialises this binary's pool-census tests, and grows the shared
+/// pool to the largest worker count any test here can request (the
+/// explicit counts, or `Threads::Auto` up to the machine) before a
+/// census is read, so no test running beside it can spawn threads under
+/// it.
+fn census_lock() -> std::sync::MutexGuard<'static, ()> {
+    static CENSUS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let guard = CENSUS.lock().unwrap_or_else(|e| e.into_inner());
+    Pool::global().run(MAX_WORKERS.max(exec::available_parallelism()), |_| {});
+    guard
+}
+
 fn scratch_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("kclique_cancel_{tag}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -126,6 +141,7 @@ fn cancel_then_resume_matches_uninterrupted() {
 /// poisoned locks, no stuck workers, no extra threads on the next call.
 #[test]
 fn cancelled_runs_leave_the_pool_reusable() {
+    let _census = census_lock();
     let g = random_graph(60, 0.15, 47);
     let reference = cpm::percolate(&g);
     let tripped = CancelToken::new();

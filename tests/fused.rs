@@ -23,6 +23,21 @@ fn random_graph(n: u32, p: f64, seed: u64) -> asgraph::Graph {
     b.build()
 }
 
+/// The largest explicit worker count any test in this binary requests.
+const MAX_WORKERS: usize = 7;
+
+/// Serialises this binary's pool-census tests, and grows the shared
+/// pool to the largest worker count any test here can request (the
+/// explicit counts, or `Threads::Auto` up to the machine) before a
+/// census is read, so no test running beside it can spawn threads under
+/// it.
+fn census_lock() -> std::sync::MutexGuard<'static, ()> {
+    static CENSUS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let guard = CENSUS.lock().unwrap_or_else(|e| e.into_inner());
+    Pool::global().run(MAX_WORKERS.max(exec::available_parallelism()), |_| {});
+    guard
+}
+
 /// Canonically sorted member lists per level — the order-independent
 /// view shared by the fused and staged pipelines.
 fn covers(levels: &[cpm::KLevel]) -> Vec<(u32, Vec<Vec<asgraph::NodeId>>)> {
@@ -73,6 +88,7 @@ fn fused_parallel_is_bit_identical_at_every_worker_count() {
 /// `tests/cancel.rs` proves for the staged one.
 #[test]
 fn fused_cancellation_leaves_the_pool_reusable_and_the_run_resumable() {
+    let _census = census_lock();
     let g = random_graph(60, 0.15, 47);
     let reference = cpm::percolate_fused(&g, Mode::Almost);
 
@@ -158,6 +174,7 @@ fn parallel_finish_is_bit_identical_to_sequential_finish() {
 /// bit-identical answer.
 #[test]
 fn cancellation_mid_finish_leaves_the_pool_reusable() {
+    let _census = census_lock();
     let g = book_graph(150);
     // Warm the pool, then record its thread census.
     let _ = cpm::percolate_fused_parallel(&g, 4, Mode::Almost);

@@ -5,8 +5,8 @@
 //! here the oracle is the seeded `InternetModel` — power-law degrees,
 //! dense IXP cores, deep overlap strata — and the assertion is full
 //! bit-identity of the `CpmResult` (community tree parents included)
-//! across kernels and thread counts, plus the same invariance for the
-//! streaming wave sweep.
+//! across kernels and thread counts, plus the streaming sweep's
+//! indifference to its (ignored) thread argument.
 
 use kclique::cliques::Kernel;
 use kclique::cpm;
@@ -86,6 +86,8 @@ fn strata_match_flat_edges_on_internet_model() {
     }
 }
 
+/// The streaming sweep runs off the pool; its `threads` argument must
+/// not change a single level.
 #[test]
 fn streaming_waves_are_thread_count_invariant() {
     let g = internet_graph(5);
