@@ -1,7 +1,7 @@
 //! Shared fixtures for the Criterion benchmarks.
 //!
 //! With the `memprof` feature the crate additionally exposes
-//! [`memprof`], a counting global allocator used by the `stream-mem`
+//! the `memprof` module, a counting global allocator used by the `stream-mem`
 //! binary to compare peak heap usage of batch vs streaming percolation.
 
 // memprof implements GlobalAlloc, which is inherently unsafe; the rest

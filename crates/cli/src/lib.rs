@@ -325,8 +325,10 @@ kernel produces identical output; only the speed differs.
 The worker count (--threads) sizes the persistent thread pool: a fixed
 `<n>` forces that many workers, `auto` (default) scales with the input
 and falls back to sequential when the work would not amortise the
-fan-out. Output is bit-identical at every thread count.
-`stream-percolate` accepts --threads but does not use it: its sweep
+fan-out. Output is bit-identical at every thread count. `communities
+--k` uses it too: single-k exact percolation probes its candidate
+clique pairs on the pool. `stream-percolate` accepts --threads but does
+not use it: its sweep
 runs sequentially. The exact --all-k sweep replays the source once into
 a nested union-find whose memory grows with the clique memberships, not
 the level count.
@@ -337,7 +339,9 @@ process exits 75 to signal \"interrupted, resumable\". A cancelled
 `clique-log build` seals a valid log; rerun with --resume to continue
 from its last durable clique. Exit codes: 0 success, 1 failure, 2 bad
 usage, 65 corrupt input (e.g. a torn log — try `clique-log recover`),
-75 interrupted/resumable.
+75 interrupted/resumable. `communities --k` in exact mode polls the
+deadline while it enumerates and probes; almost mode and the staged
+pipeline run the cancellable all-k sweep instead and print level k.
 
 `serve` answers community queries over HTTP from a frozen snapshot (a
 clique log or a serialised snapshot index; default address
@@ -710,10 +714,24 @@ impl Command {
                     print!("{}", table.render());
                 } else {
                     let k = k.expect("parse guarantees k for non-all-k");
-                    // The single-k fast path has no cancellation points;
-                    // under a deadline, run the cancellable full sweep
-                    // and project out level k instead.
-                    let comms: Vec<Vec<asgraph::NodeId>> = if deadline.is_some() {
+                    let exact_fused =
+                        *mode == cpm::Mode::Exact && *pipeline == cpm::Pipeline::Fused;
+                    let comms: Vec<Vec<asgraph::NodeId>> = if exact_fused {
+                        // The single-level engine: threaded, and it polls
+                        // the live token like the all-k branch does.
+                        cpm::percolate_at_cancellable(
+                            &g,
+                            k as usize,
+                            *threads,
+                            *kernel,
+                            &cancel_token(deadline),
+                        )
+                        .map_err(|_| interrupted_no_durable_state())?
+                    } else if deadline.is_some() {
+                        // The almost single-k path and the staged pipeline
+                        // have no cancellation points; under a deadline,
+                        // run the cancellable full sweep and project out
+                        // level k instead.
                         let token = cancel_token(deadline);
                         match pipeline {
                             cpm::Pipeline::Fused => {

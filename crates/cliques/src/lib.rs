@@ -128,7 +128,7 @@ where
     ControlFlow::Continue(())
 }
 
-/// [`for_each_max_clique_with`] polling a [`CancelToken`] between
+/// [`for_each_max_clique_with`] polling a [`CancelToken`](exec::CancelToken) between
 /// top-level subproblems — the enumeration's natural chunk boundary.
 ///
 /// Until the token trips, the visitor sees exactly the stream of

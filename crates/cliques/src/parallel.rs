@@ -19,7 +19,7 @@
 //!
 //! Two things distinguish this from the per-call `crossbeam::scope`
 //! version it replaced: workers are warm pool threads (woken, not
-//! spawned), and each worker's [`BitsetScratch`] lives in its pool
+//! spawned), and each worker's `BitsetScratch` lives in its pool
 //! arena, so the bitset row pool and local-index buffers persist across
 //! calls instead of being reallocated every time. [`Threads::Auto`]
 //! (the default for the CLI) additionally routes graphs below a work

@@ -16,7 +16,7 @@
 //!   (a per-vertex last-owner chain for vertex keys, a persistent
 //!   last-owner table for edge keys — chains and first-seen stars have
 //!   the same connected components), streams the small×small exact
-//!   counting pass of [`SubsumptionStrata`] against per-vertex posting
+//!   counting pass of `SubsumptionStrata` against per-vertex posting
 //!   lists of earlier small cliques, and compresses each big clique to
 //!   a 256-bit hub bitmap (40 bytes, vs. the full member list) from
 //!   which the big×big and big×small prepasses — and the big cliques'
@@ -52,6 +52,7 @@
 //!
 //! [`finish`]: FusedPercolator::finish
 
+use crate::at_k::KeptCliques;
 use crate::dsu::Dsu;
 use crate::dsu_concurrent::ConcurrentDsu;
 use crate::mode::{emits, mix, Mode, SubsumptionStrata, KEY_MAX_L, MISS_DEPTH, R, SMALL_FULL};
@@ -1464,38 +1465,41 @@ impl FusedPercolator {
 
     /// Runs the sweep down to a single level `k` and returns its
     /// communities as sorted member lists, sorted — byte-identical to
-    /// the staged [`crate::percolate_at_mode`] output.
+    /// the staged [`crate::percolate_at_mode`] output. The exact engine
+    /// hands its cliques of size ≥ `k` to the single-level engine of
+    /// [`crate::percolate_at_cancellable`] instead of sweeping.
     pub fn finish_at(mut self, k: usize) -> Vec<Vec<NodeId>> {
         if k < 2 || self.k_max < k {
             return Vec::new();
         }
-        match &mut self.engine {
-            Engine::Almost(a) => {
-                a.finish_pairs(&self.sizes);
-                a.build_extract_index(&self.sizes);
+        let a = match &mut self.engine {
+            Engine::Almost(a) => a,
+            Engine::Exact(e) => {
+                let mut kept = KeptCliques::new(k);
+                let mut start = 0;
+                for &s in self.sizes.iter().filter(|&&s| s >= 2) {
+                    let end = start + s as usize;
+                    kept.push(&e.mem[start..end]);
+                    start = end;
+                }
+                return kept
+                    .finish(e.n, Threads::Auto, &CancelToken::new())
+                    .expect("a fresh token never cancels");
             }
-            Engine::Exact(e) => e.finish_pairs(&self.sizes),
-        }
+        };
+        a.finish_pairs(&self.sizes);
+        a.build_extract_index(&self.sizes);
         let clique_count = self.sizes.len();
         let mut dsu = Dsu::new(clique_count);
         for kk in (k.max(3)..=self.k_max).rev() {
-            match &mut self.engine {
-                Engine::Almost(a) => {
-                    for &(x, y) in a.strata.at(kk) {
-                        dsu.union(x, y);
-                    }
-                    if let Some(Some(d)) = a.level_dsus.get_mut(kk) {
-                        merge_dsu(&mut dsu, d);
-                    }
-                    if kk == 3 {
-                        merge_dsu(&mut dsu, &mut a.dsu3);
-                    }
-                }
-                Engine::Exact(e) => {
-                    for &(x, y) in e.strata.at(kk) {
-                        dsu.union(x, y);
-                    }
-                }
+            for &(x, y) in a.strata.at(kk) {
+                dsu.union(x, y);
+            }
+            if let Some(Some(d)) = a.level_dsus.get_mut(kk) {
+                merge_dsu(&mut dsu, d);
+            }
+            if kk == 3 {
+                merge_dsu(&mut dsu, &mut a.dsu3);
             }
         }
         if k == 2 {
@@ -2256,18 +2260,28 @@ pub fn percolate_at_fused(g: &Graph, k: usize, mode: Mode) -> Vec<Vec<NodeId>> {
 }
 
 /// [`percolate_at_fused`] with an explicit enumeration [`Kernel`].
+/// [`Mode::Exact`] runs [`crate::percolate_at_cancellable`] with
+/// [`Threads::Auto`] and a token that never trips.
 pub fn percolate_at_fused_with_kernel(
     g: &Graph,
     k: usize,
     kernel: Kernel,
     mode: Mode,
 ) -> Vec<Vec<NodeId>> {
-    if k < 2 {
-        return Vec::new();
+    match mode {
+        Mode::Exact => {
+            crate::percolate_at_cancellable(g, k, Threads::Auto, kernel, &CancelToken::new())
+                .expect("a fresh token never cancels")
+        }
+        Mode::Almost => {
+            if k < 2 {
+                return Vec::new();
+            }
+            let mut p = FusedPercolator::new(g.node_count(), mode);
+            cliques::consume_max_cliques(g, kernel, &mut p);
+            p.finish_at(k)
+        }
     }
-    let mut p = FusedPercolator::new(g.node_count(), mode);
-    cliques::consume_max_cliques(g, kernel, &mut p);
-    p.finish_at(k)
 }
 
 #[cfg(test)]

@@ -13,6 +13,9 @@
 //! descending sweep ([`percolate`]), emitting the nesting links as it
 //! goes, and provides the multi-threaded pipeline of the companion
 //! "Lightweight Parallel CPM" paper ([`parallel::percolate_parallel`]).
+//! A single level has its own threaded, cancellable engine
+//! ([`percolate_at_cancellable`]) that keeps only the cliques of size
+//! ≥ k and verifies only prefix-filtered candidate pairs.
 //! The literal definition is also implemented ([`naive`]) and used as a
 //! cross-validation oracle in the property tests.
 //!
@@ -36,6 +39,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod at_k;
 pub mod consume;
 pub mod directed;
 mod dsu;
@@ -51,6 +55,7 @@ mod snapshot;
 mod sweep;
 pub mod weighted;
 
+pub use at_k::percolate_at_cancellable;
 pub use consume::{
     percolate_at_fused, percolate_at_fused_with_kernel, percolate_fused,
     percolate_fused_cancellable, percolate_fused_parallel, percolate_fused_phases,

@@ -29,7 +29,7 @@
 //!   clique's emission.)
 //!
 //! * **Everything from `k = 4` up** comes from the one-shot **prepass
-//!   strata** ([`SubsumptionStrata`]), which record each detected pair
+//!   strata** (`SubsumptionStrata`), which record each detected pair
 //!   at its exact *detection level* `m + 1` (`m` = overlap size); the
 //!   union–find that persists through the descending-`k` sweep then
 //!   carries every detection to all lower levels for free. Two exact
@@ -110,7 +110,7 @@ pub const SUBSET_CAP: u64 = 4096;
 
 /// Cliques at or below this size are *small*: every pair involving a
 /// small clique gets its overlap counted exactly by the counting
-/// prepass ([`SubsumptionStrata`]), whose posting lists hold small
+/// prepass (`SubsumptionStrata`), whose posting lists hold small
 /// cliques only — hub posting lists are dominated by large cliques,
 /// so the restriction turns the quadratic pairwise phase into a
 /// cache-resident pass an order of magnitude cheaper than the full

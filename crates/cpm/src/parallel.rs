@@ -10,7 +10,7 @@
 //!    work-stealing deal (delegated to [`cliques::parallel`]);
 //! 2. overlap counting: clique ids claimed in chunks of [`OVERLAP_CHUNK`]
 //!    from a shared [`ChunkQueue`], each worker counting with the
-//!    [`OverlapScratch`] resident in its pool arena (stamp arrays and
+//!    `OverlapScratch` resident in its pool arena (stamp arrays and
 //!    counters stay warm across calls); per-chunk strata are reassembled
 //!    in chunk order, so the result is *identical* to the sequential
 //!    construction — independent of thread count and scheduling races;

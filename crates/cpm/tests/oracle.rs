@@ -167,3 +167,27 @@ proptest! {
         prop_assert_eq!(&sorted, &naive_communities(&g, k));
     }
 }
+
+proptest! {
+    /// The single-level engine (size prune, prefix filter, pool probe,
+    /// `k = 2` chain) equals the literal definition and the staged
+    /// single-level path at every k up to one past the largest clique,
+    /// at 1, 2 and 4 workers.
+    #[test]
+    fn single_level_engine_matches_definition(edges in edge_soup(14, 50)) {
+        let g = Graph::from_edges(14, edges);
+        let token = exec::CancelToken::new();
+        let k_max = percolate(&g).k_max().unwrap_or(1) as usize;
+        for k in 2..=k_max + 1 {
+            let mut staged = cpm::percolate_at(&g, k);
+            staged.sort_unstable();
+            prop_assert_eq!(&staged, &naive_communities(&g, k));
+            for workers in [1usize, 2, 4] {
+                let got = cpm::percolate_at_cancellable(
+                    &g, k, workers, cliques::Kernel::Auto, &token,
+                );
+                prop_assert_eq!(got.as_ref(), Ok(&staged), "k {} workers {}", k, workers);
+            }
+        }
+    }
+}

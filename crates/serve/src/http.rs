@@ -56,7 +56,7 @@ pub fn is_deadline_error(e: &io::Error) -> bool {
 /// A `BufRead` adapter that turns a poll-timeout socket into a
 /// slowloris-proof request source.
 ///
-/// The underlying stream has a short read timeout ([`READ_POLL`]
+/// The underlying stream has a short read timeout ([`READ_POLL`](crate::READ_POLL)
 /// upstream), so a silent peer surfaces `WouldBlock` every poll tick.
 /// Without this adapter two attacks hold a connection worker forever:
 ///
